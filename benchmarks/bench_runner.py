@@ -11,9 +11,9 @@ bytes, sweeps explicit chunk sizes, and emits ``BENCH_runner.json`` at
 the repo root.
 
 Gates: the warm-cache run must be at least 5x faster than cold, and on
-hosts with >= 2 cores ``parallel_speedup`` must be >= 1.0 (on a
-single-core host fan-out cannot beat serial, so that gate is skipped
-with a notice instead of failing).
+hosts with >= 2 cores ``parallel_speedup`` and ``warm_pool_speedup``
+must both be >= 1.0 (on a single-core host fan-out cannot beat serial,
+so those gates are skipped with a notice instead of failing).
 
 Also runnable standalone: ``PYTHONPATH=src python benchmarks/bench_runner.py``.
 """
@@ -122,24 +122,24 @@ def run_cold_warm_parallel(scale=SCALE, jobs=JOBS):
 
 def check_gates(payload):
     """Gate failures as strings (empty = all good); prints the
-    skip-with-notice for the parallel gate on single-core hosts."""
+    skip-with-notice for the pool gates on single-core hosts."""
     failures = []
     if payload["warm_speedup"] < 5.0:
         failures.append(
             "warm cache speedup %.2fx is below the 5x floor"
             % payload["warm_speedup"]
         )
-    if payload["cpu_count"] >= 2:
-        if payload["parallel_speedup"] < 1.0:
-            failures.append(
-                "parallel_speedup %.2fx is below the 1.0x floor on a "
-                "%d-core host" % (payload["parallel_speedup"], payload["cpu_count"])
+    for key in ("parallel_speedup", "warm_pool_speedup"):
+        if payload["cpu_count"] < 2:
+            print(
+                "NOTICE: single-core host -- %s gate skipped (measured %.2fx)"
+                % (key, payload[key])
             )
-    else:
-        print(
-            "NOTICE: single-core host -- parallel_speedup gate skipped "
-            "(measured %.2fx)" % payload["parallel_speedup"]
-        )
+        elif payload[key] < 1.0:
+            failures.append(
+                "%s %.2fx is below the 1.0x floor on a %d-core host"
+                % (key, payload[key], payload["cpu_count"])
+            )
     return failures
 
 

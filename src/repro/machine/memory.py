@@ -2,18 +2,29 @@
 
 The physical address space is a set of non-overlapping RAM regions plus
 memory-mapped device regions.  Engines perform the vast majority of
-accesses against RAM; the fast path exposes the backing ``bytearray``
-and a base offset so translated code can index it directly (this is how
-the DBT engine's softmmu avoids a bus lookup per access).
+accesses against RAM; the fast path exposes the backing buffer (a
+private anonymous ``mmap``) and a base offset so translated code can
+index it directly (this is how the DBT engine's softmmu avoids a bus
+lookup per access).
 """
 
 import bisect
+import mmap
 
 from repro.errors import BusError, MachineError
 
 
 class RamRegion:
-    """A contiguous RAM region backed by a ``bytearray``."""
+    """A contiguous RAM region backed by a private anonymous mapping.
+
+    The kernel zeroes each page on first touch, so building a region
+    costs no memset and the process's RSS grows only by the pages the
+    guest actually uses.  ``MAP_PRIVATE`` matters: Python's default for
+    an anonymous ``mmap`` is ``MAP_SHARED``, which would make guest
+    writes visible across ``fork`` and be charged as shared memory.
+    ``data`` supports indexing and slicing like a fixed-size
+    ``bytearray``; a slice reads back as ``bytes``.
+    """
 
     __slots__ = ("base", "size", "data")
 
@@ -22,7 +33,7 @@ class RamRegion:
             raise MachineError("RAM regions must be page aligned")
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
     @property
     def end(self):

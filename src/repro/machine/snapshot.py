@@ -20,9 +20,20 @@ Typical use::
         restore(board, snap)
         engine = DBTSimulator(board, arch=ARM, config=config)
         engine.run(...)
+
+RAM is captured sparsely: only the 4 KiB pages holding a non-zero byte
+are stored, so a snapshot of a freshly loaded board is the size of the
+program, not of the 64 MiB region.  A restore first drops every page of
+the region back to zero (``MADV_DONTNEED`` on the private anonymous
+mapping) and then writes the stored pages back, which also clears pages
+the guest dirtied after the snapshot was taken.
 """
 
+import mmap
 import zlib
+
+_PAGE = 4096
+_ZERO_PAGE = bytes(_PAGE)
 
 
 class MachineSnapshot:
@@ -32,7 +43,8 @@ class MachineSnapshot:
 
     def __init__(self, platform_name, ram, cpu, cp15, cp1, devices):
         self.platform_name = platform_name
-        #: list of (base, zlib-compressed bytes) per RAM region
+        #: list of (base, size, page offsets, zlib-compressed page bytes)
+        #: per RAM region; only pages holding a non-zero byte are stored
         self.ram = ram
         self.cpu = cpu
         self.cp15 = cp15
@@ -41,7 +53,7 @@ class MachineSnapshot:
 
     @property
     def compressed_size(self):
-        return sum(len(data) for _base, data in self.ram)
+        return sum(len(data) for _base, _size, _offsets, data in self.ram)
 
     def __repr__(self):
         return "MachineSnapshot(platform=%s, ram=%d bytes compressed)" % (
@@ -53,12 +65,27 @@ class MachineSnapshot:
 _CP15_FIELDS = ("sctlr", "ttbr", "dacr", "fsr", "far", "vbar", "asid", "devid", "cpuid")
 
 
+def _nonzero_pages(data, size):
+    """Return ``(offsets, pages)`` for every page of ``data`` holding a
+    non-zero byte.  Untouched pages read as the kernel's zero page, so
+    the scan commits no memory."""
+    offsets = []
+    pages = []
+    for off in range(0, size, _PAGE):
+        page = data[off : off + _PAGE]
+        if page != _ZERO_PAGE:
+            offsets.append(off)
+            pages.append(page)
+    return tuple(offsets), pages
+
+
 def snapshot(board):
     """Capture the full guest-visible state of ``board``."""
-    ram = [
-        (region.base, zlib.compress(bytes(region.data), level=1))
-        for region in board.memory.ram_regions
-    ]
+    ram = []
+    for region in board.memory.ram_regions:
+        offsets, pages = _nonzero_pages(region.data, region.size)
+        compressed = zlib.compress(b"".join(pages), level=1)
+        ram.append((region.base, region.size, offsets, compressed))
     cpu = board.cpu
     cpu_state = {
         "regs": list(cpu.regs),
@@ -94,14 +121,18 @@ def restore(board, snap):
             % (snap.platform_name, board.platform.name)
         )
     regions = {region.base: region for region in board.memory.ram_regions}
-    for base, compressed in snap.ram:
+    for base, size, offsets, compressed in snap.ram:
         region = regions.get(base)
         if region is None:
             raise ValueError("snapshot RAM region 0x%08x missing on board" % base)
-        data = zlib.decompress(compressed)
-        if len(data) != region.size:
+        if size != region.size:
             raise ValueError("snapshot RAM region 0x%08x has wrong size" % base)
-        region.data[:] = data
+        data = zlib.decompress(compressed)
+        # Zero the whole region first: a page that was zero at snapshot
+        # time is not stored, but the guest may have written it since.
+        region.data.madvise(mmap.MADV_DONTNEED)
+        for index, off in enumerate(offsets):
+            region.data[off : off + _PAGE] = data[index * _PAGE : (index + 1) * _PAGE]
 
     cpu = board.cpu
     cpu.regs[:] = snap.cpu["regs"]

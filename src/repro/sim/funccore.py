@@ -28,6 +28,12 @@ PAGE_SHIFT = 12
 #: (MRC is read-only and safe mid-run.)
 _BLOCK_TERMINALS = frozenset(BLOCK_END_OPS) | {Op.MCR}
 
+#: ALU ops touch only registers, flags and the pc: they cannot fault,
+#: write memory (so cannot bump the block epoch), raise an interrupt or
+#: observe a counter.  Replay skips the between-instruction checks
+#: after them.
+_REGISTER_ONLY_OPS = frozenset(op for op in Op if op < Op.LDR)
+
 
 class GuestUndef(Exception):
     """Internal signal: the current instruction raises UNDEF."""
@@ -121,8 +127,10 @@ class FunctionalCore(Simulator):
         self._data_state = None
         self._data_fast_ok = isinstance(self._dtlb, SoftTLB)
         #: Predecoded straight-line runs, one dict per physical page
-        #: (``ppage -> {start_paddr: [(handler, insn), ...]}``), dropped
-        #: together with the decode page on SMC invalidation.
+        #: (``ppage -> {start_offset: [(handler, insn, check), ...]}``,
+        #: ``check`` False where replay may skip the between-instruction
+        #: checks), dropped together with the decode page on SMC
+        #: invalidation.
         self._block_pages = {}
         #: Bumped on every code-page invalidation; replay/record loops
         #: compare it per instruction so a self-modifying store bails
@@ -909,7 +917,7 @@ class FunctionalCore(Simulator):
                 counters.undefs += 1
                 self._deliver(ExceptionVector.UNDEF, pc + 4)
                 break
-            entries.append((handler, insn))
+            entries.append((handler, insn, insn.op not in _REGISTER_ONLY_OPS))
             if insn.op in _BLOCK_TERMINALS:
                 break
             if self._block_epoch != epoch:
@@ -926,10 +934,14 @@ class FunctionalCore(Simulator):
                 break
             pc = cpu.pc
         if entries and self._block_epoch == epoch:
+            # Nothing follows the last entry inside the block: the outer
+            # loop makes the between-instruction checks after it.
+            handler, insn, _check = entries[-1]
+            entries[-1] = (handler, insn, False)
             page = self._block_pages.get(start_ppage)
             if page is None:
                 page = self._block_pages[start_ppage] = {}
-            page[start_paddr] = entries
+            page[start_paddr & 0xFFF] = entries
 
     def _run_blocks(self, max_insns=None):
         """Baseline-equivalent run loop over predecoded blocks."""
@@ -964,21 +976,22 @@ class FunctionalCore(Simulator):
                 # (or delivers the abort the baseline loop would).
                 self._step(pc)
                 continue
-            ppage = state[5]
-            paddr = (ppage << PAGE_SHIFT) | (pc & 0xFFF)
-            page_blocks = block_pages.get(ppage)
-            block = None if page_blocks is None else page_blocks.get(paddr)
+            page_blocks = block_pages.get(state[5])
+            block = None if page_blocks is None else page_blocks.get(pc & 0xFFF)
             if block is None:
+                paddr = (state[5] << PAGE_SHIFT) | (pc & 0xFFF)
                 self._record_block(pc, paddr, state, limit)
                 continue
             # Replay.  Every entry retires as a decode-cache hit -- the
             # record pass populated the decode page, and any write that
             # could stale it bumps the epoch, checked between entries.
+            # Handlers never retire instructions themselves, so the
+            # instruction limit is applied by cutting the block short.
+            room = limit - counters.instructions
+            if len(block) > room:
+                block = block[:room]
             epoch = self._block_epoch
-            i = 0
-            n = len(block)
-            while True:
-                handler, insn = block[i]
+            for handler, insn, check in block:
                 counters.decode_hits += 1
                 counters.instructions += 1
                 try:
@@ -992,11 +1005,8 @@ class FunctionalCore(Simulator):
                     counters.undefs += 1
                     self._deliver(ExceptionVector.UNDEF, pc + 4)
                     break
-                i += 1
-                if (
-                    i == n
-                    or self._block_epoch != epoch
-                    or counters.instructions >= limit
+                if check and (
+                    self._block_epoch != epoch
                     or (intc.pending & intc.enable and cpu.psr & PSR_IRQ_ENABLE)
                 ):
                     break

@@ -1,10 +1,14 @@
 """Physical memory and bus tests."""
 
+import os
+
 import pytest
 
 from repro.errors import BusError, MachineError
+from repro.machine import Board
 from repro.machine.devices import SafeDevice
 from repro.machine.memory import PhysicalMemory
+from repro.platform import VEXPRESS
 
 
 @pytest.fixture
@@ -64,6 +68,59 @@ class TestRam:
     def test_bulk_outside_ram(self, memory):
         with pytest.raises(BusError):
             memory.write_bytes(0xF000_0000, b"xx")
+
+
+def _vm_rss_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+class TestLazyRam:
+    """Guest RAM is a private anonymous mapping: zero until touched,
+    fixed in size, private across ``fork``, and committed per page."""
+
+    def test_fresh_region_reads_zero_at_both_ends(self, memory):
+        assert memory.read32(0x0) == 0
+        assert memory.read32(0x3FFC) == 0
+        assert memory.read32(0x1_0FFC) == 0
+
+    def test_roundtrip_at_last_word(self, memory):
+        memory.write32(0x3FFC, 0xCAFEF00D)
+        assert memory.read32(0x3FFC) == 0xCAFEF00D
+        assert memory.read_bytes(0x3FFC, 4) == (0xCAFEF00D).to_bytes(4, "little")
+
+    def test_bulk_write_past_end_never_resizes(self, memory):
+        region = memory.find_ram(0x0)
+        with pytest.raises(BusError):
+            memory.write_bytes(0x3FFE, b"abcd")
+        assert len(region.data) == 0x4000
+        assert memory.read_bytes(0x3FFC, 4) == bytes(4)
+
+    def test_forked_child_writes_are_private(self, memory):
+        memory.write32(0x100, 0x11111111)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            memory.write32(0x100, 0x22222222)
+            memory.write32(0x200, 0x33333333)
+            os._exit(0 if memory.read32(0x100) == 0x22222222 else 1)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert memory.read32(0x100) == 0x11111111
+        assert memory.read32(0x200) == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_boards_commit_only_touched_pages(self):
+        before = _vm_rss_kib()
+        boards = [Board(VEXPRESS) for _ in range(32)]
+        grown_mib = (_vm_rss_kib() - before) / 1024
+        assert len(boards) == 32
+        assert boards[0].memory.ram_regions[0].size == VEXPRESS.ram_size
+        assert grown_mib < 32, grown_mib
 
 
 class TestDeviceRouting:

@@ -105,3 +105,28 @@ spin:
             outcomes.append(board.cpu.snapshot())
         assert outcomes[0] == outcomes[1]
         assert board.cpu.regs[8] == 300
+
+
+class TestSparseSnapshot:
+    def test_page_zero_at_snapshot_reads_zero_after_restore(self):
+        board = _run_board()
+        snap = snapshot(board)
+        # 0x3000000 was never touched, so the snapshot does not store it.
+        assert board.memory.read32(0x3000000) == 0
+        board.memory.write32(0x3000000, 0xBAD)
+        board.memory.write32(0x3000FFC, 0xBAD)
+        restore(board, snap)
+        assert board.memory.read32(0x3000000) == 0
+        assert board.memory.read32(0x3000FFC) == 0
+        assert board.memory.read32(0x2000000) == 7
+
+    def test_fresh_board_snapshot_is_small(self):
+        board = Board(VEXPRESS)
+        board.load(assemble(PROGRAM))
+        snap = snapshot(board)
+        stored = snap.compressed_size + sum(
+            4 * len(offsets) for _base, _size, offsets, _data in snap.ram
+        )
+        assert stored < 64 * 1024, stored
+        restore(board, snap)
+        assert board.memory.read_bytes(0x8000, 4) != bytes(4)

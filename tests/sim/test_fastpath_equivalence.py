@@ -11,10 +11,12 @@ predecoded block lists exactly as it invalidates the decode cache.
 
 import pytest
 
-from repro.arch import get_arch
+from repro.arch import ARM, get_arch
 from repro.core import SUITE, Harness
+from repro.isa.assembler import assemble
+from repro.machine import Board
 from repro.obs.metrics import METRICS
-from repro.platform import get_platform
+from repro.platform import VEXPRESS, get_platform
 from repro.sim import DBTSimulator, FastInterpreter
 from repro.sim.dbt import codestore
 from repro.sim.dbt.translator import TRANSLATION_MEMO
@@ -173,6 +175,142 @@ f:
     movi r4, 1
     br lr
 """
+
+
+LIMIT_BODY = """
+    movi r5, 12
+    li r3, 0x20000
+loop:
+    addi r2, r2, 3
+    eori r2, r2, 0x55
+    str r2, [r3]
+    ldr r4, [r3]
+    addi r3, r3, 4
+    subi r5, r5, 1
+    cmpi r5, 0
+    bne loop
+    halt #0
+"""
+
+
+class TestPredecodedBlockLimits:
+    @pytest.mark.parametrize("step", [1, 2, 3, 5, 7])
+    def test_instruction_limit_cuts_blocks_exactly(self, step):
+        """Running in ``max_insns`` slices must stop the block runner at
+        the same instruction, with the same state, as the plain loop."""
+        program = assemble(".org 0x8000\n_start:\n    li sp, 0x100000\n" + LIMIT_BODY)
+        traces = {}
+        for flag in (False, True):
+            board = Board(VEXPRESS)
+            board.load(program)
+            engine = FastInterpreter(board, arch=ARM, use_block_cache=flag)
+            trace = []
+            while not board.cpu.halted:
+                result = engine.run(max_insns=step)
+                trace.append(
+                    (
+                        result.exit_reason,
+                        result.instructions,
+                        board.cpu.pc,
+                        list(board.cpu.regs),
+                        engine.counters.snapshot(),
+                    )
+                )
+            traces[flag] = trace
+        assert traces[True] == traces[False]
+        assert traces[True][-1][3][4] == traces[True][-1][3][2]
+
+
+REPLAY_SMC_BODY = """
+    li r0, 0x20000         ; passes 1-2 store to data: the blocks record
+    li r11, 0x20000
+    movi r5, 3
+loop:
+    li r1, 0x19400002      ; movi r4, 2
+    str r1, [r0]           ; pass 3 (a replay) patches `target`
+target:
+    movi r4, 1
+    add r6, r6, r4
+    mov r0, r11
+    li r11, target
+    subi r5, r5, 1
+    cmpi r5, 0
+    bne loop
+    halt #0
+"""
+
+REPLAY_IRQ_SOURCE = """
+.org 0x4000
+    b _start
+    b bad
+    b bad
+    b bad
+    b bad
+    b irq_handler
+.org 0x8000
+_start:
+    li sp, 0x100000
+    li r0, 0x4000
+    mcr r0, p15, c6
+    li r1, 0xf0004004      ; INTC.ENABLE
+    movi r2, 1
+    str r2, [r1]
+    cps #3                 ; kernel mode, IRQs on
+    li r1, 0xf0004008      ; INTC.TRIGGER
+    li r0, 0x20000         ; passes 1-2 store to data: the blocks record
+    li r11, 0x20000
+    movi r5, 4
+loop:
+    str r2, [r0]           ; passes 3-4 (replays) raise the IRQ
+    addi r7, r7, 1         ; must retire after the IRQ is taken
+    mov r0, r11
+    mov r11, r1
+    subi r5, r5, 1
+    cmpi r5, 0
+    bne loop
+    cps #1
+    halt #0
+irq_handler:
+    li r8, 0xf000400c      ; INTC.ACK
+    movi r9, 1
+    str r9, [r8]
+    add r10, r10, r7
+    sret
+bad:
+    halt #0xEE
+"""
+
+
+class TestPredecodedBlockReplayChecks:
+    """A store in a replayed block can stale the rest of the block or
+    raise an interrupt; replay must stop right after it, exactly where
+    the plain loop re-fetches or takes the IRQ."""
+
+    def _final_states(self, program):
+        states = {}
+        for flag in (False, True):
+            board = Board(VEXPRESS)
+            board.load(program)
+            engine = FastInterpreter(board, arch=ARM, use_block_cache=flag)
+            result = engine.run(max_insns=100_000)
+            assert result.halted_ok
+            states[flag] = (list(board.cpu.regs), engine.counters.snapshot())
+        assert states[True] == states[False]
+        return states[True]
+
+    def test_store_patching_the_running_block(self):
+        program = assemble(
+            ".org 0x8000\n_start:\n    li sp, 0x100000\n" + REPLAY_SMC_BODY
+        )
+        regs, counters = self._final_states(program)
+        assert regs[6] == 1 + 1 + 2
+        assert counters["smc_invalidations"] >= 1
+
+    def test_store_raising_an_interrupt_mid_block(self):
+        regs, counters = self._final_states(assemble(REPLAY_IRQ_SOURCE))
+        assert counters["irqs"] == 2
+        assert regs[7] == 4
+        assert regs[10] == 2 + 3
 
 
 class TestPredecodedBlockInvalidation:
