@@ -170,18 +170,35 @@ def _run_engine(engine_cls, program, max_insns=2_000_000, **kwargs):
     return engine, seconds
 
 
-def run_engine_matrix(scale=1):
-    """Wall-clock seconds for every engine on every kernel."""
+def run_engine_matrix(scale=1, rounds=5):
+    """Wall-clock seconds for every engine on every kernel.
+
+    Per kernel: one untimed warm-up pass per engine, then ``rounds``
+    interleaved rounds (every engine once per round, min taken per
+    engine) so a host-load drift hits all engines equally.  Guest
+    counters must repeat exactly from round to round.
+    """
     matrix = {}
     for kernel_name, source in kernels(scale).items():
         program = assemble(source)
+        timings = {engine_name: [] for engine_name in _ENGINES}
+        snapshots = {}
+        for round_index in range(rounds + 1):
+            for engine_name, engine_cls in _ENGINES.items():
+                engine, seconds = _run_engine(engine_cls, program)
+                if round_index:
+                    timings[engine_name].append(seconds)
+                snapshot = engine.counters.snapshot()
+                assert snapshots.setdefault(engine_name, snapshot) == snapshot, (
+                    "%s counters changed between rounds on %s" % (engine_name, kernel_name)
+                )
         row = {}
-        for engine_name, engine_cls in _ENGINES.items():
-            engine, seconds = _run_engine(engine_cls, program)
+        for engine_name, times in timings.items():
+            instructions = snapshots[engine_name]["instructions"]
             row[engine_name] = {
-                "seconds": seconds,
-                "instructions": engine.counters.instructions,
-                "mips": engine.counters.instructions / seconds / 1e6,
+                "seconds": min(times),
+                "instructions": instructions,
+                "mips": instructions / min(times) / 1e6,
             }
         matrix[kernel_name] = row
     return matrix

@@ -11,13 +11,9 @@ from repro.isa.encoding import (
     MEM_OPS,
     NONPRIV_OPS,
     STORE_OPS,
-    VALID_OPCODES,
     Cond,
     Op,
-    sext,
 )
-
-_SIGNED_IMM_OPS = MEM_OPS
 
 
 class Instruction:
@@ -86,6 +82,16 @@ class Instruction:
         return hash(self.word)
 
 
+#: Decode tables: opcode byte -> :class:`Op` member, condition nibble
+#: -> :class:`Cond` member.  ``Op(x)`` costs ~0.8 us and every ``Op.X``
+#: attribute lookup ~160 ns on CPython 3.11; a dict probe is ~35 ns.
+_OP_BY_BITS = {int(op): op for op in Op}
+_COND_BY_BITS = {int(cond): cond for cond in Cond}
+_COND_BRANCH_OPBITS = frozenset({int(Op.B), int(Op.BL)})
+_SIGNED_IMM_OPBITS = frozenset(int(op) for op in MEM_OPS)
+_AL = Cond.AL
+
+
 def decode(word):
     """Decode a 32-bit instruction word.
 
@@ -96,29 +102,28 @@ def decode(word):
     are "raise UNDEF").
     """
     opbits = (word >> 24) & 0xFF
-    if opbits not in VALID_OPCODES:
+    op = _OP_BY_BITS.get(opbits)
+    if op is None:
         raise DecodeError("undefined opcode 0x%02x in word 0x%08x" % (opbits, word))
-    op = Op(opbits)
-    rd = (word >> 20) & 0xF
-    rn = (word >> 16) & 0xF
-    rm = (word >> 12) & 0xF
-    cond = Cond.AL
-    if op in (Op.B, Op.BL):
+    if opbits in _COND_BRANCH_OPBITS:
         cond_bits = (word >> 20) & 0xF
-        try:
-            cond = Cond(cond_bits)
-        except ValueError:
+        cond = _COND_BY_BITS.get(cond_bits)
+        if cond is None:
             raise DecodeError(
                 "undefined condition code %d in word 0x%08x" % (cond_bits, word)
             )
-        imm = sext(word & 0xFFFFF, 20)
-        rd = rn = rm = 0
-    elif op in _SIGNED_IMM_OPS:
-        imm = sext(word & 0xFFFF, 16)
-        rm = 0
-    else:
+        imm = word & 0xFFFFF
+        if imm & 0x80000:
+            imm -= 0x100000
+        return Instruction(word, op, 0, 0, 0, imm, cond)
+    rd = (word >> 20) & 0xF
+    rn = (word >> 16) & 0xF
+    if opbits in _SIGNED_IMM_OPBITS:
         imm = word & 0xFFFF
-    return Instruction(word, op, rd, rn, rm, imm, cond)
+        if imm & 0x8000:
+            imm -= 0x10000
+        return Instruction(word, op, rd, rn, 0, imm, _AL)
+    return Instruction(word, op, rd, rn, (word >> 12) & 0xF, word & 0xFFFF, _AL)
 
 
 class DecodeCache:

@@ -10,6 +10,7 @@ lookup per access).
 
 import bisect
 import mmap
+import operator
 
 from repro.errors import BusError, MachineError
 
@@ -26,18 +27,15 @@ class RamRegion:
     ``bytearray``; a slice reads back as ``bytes``.
     """
 
-    __slots__ = ("base", "size", "data")
+    __slots__ = ("base", "size", "end", "data")
 
     def __init__(self, base, size):
         if base % 4096 or size % 4096:
             raise MachineError("RAM regions must be page aligned")
         self.base = base
         self.size = size
+        self.end = base + size
         self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-
-    @property
-    def end(self):
-        return self.base + self.size
 
     def contains(self, paddr, size=1):
         return self.base <= paddr and paddr + size <= self.end
@@ -56,7 +54,6 @@ class PhysicalMemory:
 
     def __init__(self):
         self._ram = []
-        self._ram_bases = []
         self._devices = []
         self._device_bases = []
         #: Optional hook invoked as ``on_code_write(ppage)`` whenever a
@@ -68,9 +65,7 @@ class PhysicalMemory:
     def add_ram(self, base, size):
         region = RamRegion(base, size)
         self._check_overlap(base, size)
-        idx = bisect.bisect_left(self._ram_bases, base)
-        self._ram.insert(idx, region)
-        self._ram_bases.insert(idx, base)
+        bisect.insort(self._ram, region, key=operator.attrgetter("base"))
         return region
 
     def add_device(self, base, size, device):
@@ -98,11 +93,13 @@ class PhysicalMemory:
 
     # -- lookup ----------------------------------------------------------
     def find_ram(self, paddr, size=1):
-        """Return the RAM region containing ``[paddr, paddr+size)`` or None."""
-        idx = bisect.bisect_right(self._ram_bases, paddr) - 1
-        if idx >= 0:
-            region = self._ram[idx]
-            if region.contains(paddr, size):
+        """Return the RAM region containing ``[paddr, paddr+size)`` or None.
+
+        Boards have one or two RAM regions, so a linear scan with the
+        bounds test inline beats a bisect plus a method call.
+        """
+        for region in self._ram:
+            if region.base <= paddr and paddr + size <= region.end:
                 return region
         return None
 

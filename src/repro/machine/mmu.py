@@ -57,16 +57,54 @@ class FaultType(enum.IntEnum):
 
 
 class Fault(Exception):
-    """A guest memory-management fault (not a host error)."""
+    """A guest memory-management fault (not a host error).
+
+    Faults are raised on every guest data or prefetch abort, so the
+    message is formatted only when someone asks for it (``str``);
+    ``args`` holds the raw ``(fault_type, vaddr, access)`` triple.
+    """
 
     def __init__(self, fault_type, vaddr, access):
         self.fault_type = fault_type
         self.vaddr = vaddr
         self.access = access
-        super().__init__(
-            "%s fault on %s at 0x%08x"
-            % (FaultType(fault_type).name, AccessType(access).name, vaddr)
+
+    def __str__(self):
+        return "%s fault on %s at 0x%08x" % (
+            FaultType(self.fault_type).name,
+            AccessType(self.access).name,
+            self.vaddr,
         )
+
+
+def _rule_allows(ap, xn, access, is_kernel):
+    """The AP/XN permission rule (see the module docstring)."""
+    if access == AccessType.WRITE:
+        if ap == AP_READ_ONLY:
+            return False
+        if not is_kernel and ap != AP_USER_RW:
+            return False
+        return True
+    if access == AccessType.EXECUTE and xn:
+        return False
+    if not is_kernel and ap == AP_KERNEL_RW:
+        return False
+    return True
+
+
+#: ``(ap << 1) | xn`` -> permission bitmask with bit ``2*access + kernel``
+#: set when the access is allowed (``kernel`` is 0 or 1, the value of
+#: ``psr & PSR_MODE_KERNEL``), so a cached mapping's check is one shift
+#: and one mask.
+_PERMS = tuple(
+    sum(
+        1 << (2 * access + kernel)
+        for access in AccessType
+        for kernel in (0, 1)
+        if _rule_allows(ap_xn >> 1, ap_xn & 1, access, kernel)
+    )
+    for ap_xn in range(8)
+)
 
 
 class TranslationResult:
@@ -74,9 +112,14 @@ class TranslationResult:
 
     ``page_base``/``page_size`` describe the mapped region containing
     the virtual address, so TLB models can cache whole mappings.
+    ``perms`` is the mapping's permission bitmask: bit
+    ``2*access + kernel`` is set when that access is allowed in that
+    mode, so engines test a cached entry with
+    ``entry.perms >> (2*access + kernel) & 1`` instead of re-deriving
+    the rule from ``(ap, xn)`` on every access.
     """
 
-    __slots__ = ("paddr", "vpage", "ppage", "page_size", "ap", "xn", "levels")
+    __slots__ = ("paddr", "vpage", "ppage", "page_size", "ap", "xn", "levels", "perms")
 
     def __init__(self, paddr, vpage, ppage, page_size, ap, xn, levels):
         self.paddr = paddr
@@ -86,6 +129,7 @@ class TranslationResult:
         self.ap = ap
         self.xn = xn
         self.levels = levels
+        self.perms = _PERMS[(ap << 1) | (1 if xn else 0)]
 
     def narrow(self, vaddr):
         """Return a 4 KiB-granular view of this mapping around ``vaddr``.
@@ -110,17 +154,7 @@ class TranslationResult:
 
     def allows(self, access, is_kernel):
         """Permission check for a cached mapping."""
-        if access == AccessType.WRITE:
-            if self.ap == AP_READ_ONLY:
-                return False
-            if not is_kernel and self.ap != AP_USER_RW:
-                return False
-            return True
-        if access == AccessType.EXECUTE and self.xn:
-            return False
-        if not is_kernel and self.ap == AP_KERNEL_RW:
-            return False
-        return True
+        return bool(self.perms >> (2 * access + (1 if is_kernel else 0)) & 1)
 
 
 def make_section_entry(phys_base, ap=AP_KERNEL_RW, xn=False):

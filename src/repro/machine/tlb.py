@@ -37,7 +37,7 @@ class SoftTLB:
         self.invalidations = 0
 
     def lookup(self, vaddr):
-        entry = self._entries.get(_vpage(vaddr))
+        entry = self._entries.get(vaddr >> L2_SHIFT)
         if entry is None:
             self.misses += 1
             return None
@@ -48,7 +48,7 @@ class SoftTLB:
         """``lookup`` without touching the hit/miss tallies (used by
         the engines' last-data-page fast path to capture the live
         entry after an accounted translation)."""
-        return self._entries.get(_vpage(vaddr))
+        return self._entries.get(vaddr >> L2_SHIFT)
 
     def insert(self, vaddr, result):
         key = _vpage(vaddr)

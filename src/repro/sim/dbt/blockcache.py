@@ -92,6 +92,12 @@ class TranslationCache:
         return len(self._blocks)
 
     @property
+    def blocks(self):
+        """The live ``(vaddr, paddr) -> block`` dict (never rebound, so
+        a caller may keep a reference and probe it directly)."""
+        return self._blocks
+
+    @property
     def pages(self):
         """Set-like view of physical pages containing translated code."""
         return self._by_page.keys()

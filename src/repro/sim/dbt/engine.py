@@ -1,4 +1,5 @@
 """The DBT engine proper: dispatcher, softmmu, exception side exits."""
+from repro.machine.coprocessor import UndefinedCoprocessorAccess
 from repro.machine.cpu import ExceptionVector, PSR_FLAGS_MASK, PSR_IRQ_ENABLE, PSR_MODE_KERNEL
 from repro.machine.mmu import AccessType, Fault, FaultType
 from repro.obs.metrics import METRICS
@@ -14,6 +15,24 @@ PAGE_SHIFT = 12
 #: Upper bound on cached fetch translations; overflow evicts the
 #: oldest entry (insertion order) instead of dropping the whole map.
 FTLB_CAPACITY = 4096
+
+#: One full page plus an unaligned spill word: a fetch page whose
+#: physical span this long sits inside one RAM region can never need
+#: the bus check (see ``_lookup``).
+_FETCH_SPAN = (1 << PAGE_SHIFT) + 4
+
+# Enum members bound once: an ``AccessType.READ``-style attribute lookup
+# costs ~160 ns on CPython 3.11, too much for a per-access path.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_EXECUTE = AccessType.EXECUTE
+_PERMISSION = FaultType.PERMISSION
+_BUS = FaultType.BUS
+_V_UNDEF = ExceptionVector.UNDEF
+_V_SWI = ExceptionVector.SWI
+_V_PREFETCH_ABORT = ExceptionVector.PREFETCH_ABORT
+_V_DATA_ABORT = ExceptionVector.DATA_ABORT
+_V_IRQ = ExceptionVector.IRQ
 
 
 class GuestUndef(Exception):
@@ -55,13 +74,24 @@ class DBTSimulator(Simulator):
         self._translator = Translator(self.config)
         self._code_pages = self._tcache.pages
         self._exec_pages = set()
+        #: The translation cache's live ``(vaddr, paddr) -> block``
+        #: dict, probed directly by the dispatcher fast path.
+        self._tblocks = self._tcache.blocks
         tlb_size = 1 << self.config.tlb_bits
+        #: Direct-mapped softmmu slots ``(key, perms, data, page_off,
+        #: ppn)``: ``key`` is the vpage (ORed with the ASID tag),
+        #: ``perms`` the mapping's permission bitmask, ``data``/
+        #: ``page_off`` index the page's RAM region (``data`` is None for
+        #: a device page) and ``ppn`` is the physical page number.
         self._tlb = [None] * tlb_size
         self._tlb_mask = tlb_size - 1
         #: Per-ASID softmmu arrays (QEMU keeps per-MMU-mode TLBs; we
         #: keep per-address-space ones when tagging is enabled, so two
         #: contexts never alias each other's direct-mapped slots).
         self._tlb_arrays = {0: self._tlb}
+        #: Fetch translations ``vpage -> (ppage, perms, page_in_ram)``;
+        #: ``page_in_ram`` is true when the physical page plus a spill
+        #: word lies inside one RAM region.
         self._ftlb = {}
         #: ASID tag mixed into softmmu slot keys (0 unless tagging is on
         #: and a nonzero ASID is live); vpages fit in 20 bits, so the
@@ -136,32 +166,23 @@ class DBTSimulator(Simulator):
         self.counters.ptw_levels += result.levels
         entry = result.narrow(vaddr)
         key = (vaddr >> PAGE_SHIFT) | self._asid_tag
+        ppn = entry.ppage >> PAGE_SHIFT
         region = self._memory.find_ram(entry.ppage, 1)
         if region is not None:
-            slot = (key, entry, region.data, entry.ppage - region.base)
+            slot = (key, entry.perms, region.data, entry.ppage - region.base, ppn)
         else:
-            slot = (key, entry, None, 0)
+            slot = (key, entry.perms, None, 0, ppn)
         index = (vaddr >> PAGE_SHIFT) & self._tlb_mask
         old = self._tlb[index]
-        if old is not None and old[0] != slot[0]:
+        if old is not None and old[0] != key:
             self.counters.tlb_evictions += 1
         self._tlb[index] = slot
-        return slot
-
-    def _data_slot(self, vaddr, access, kernel):
-        slot = self._tlb[(vaddr >> PAGE_SHIFT) & self._tlb_mask]
-        if slot is not None and slot[0] == ((vaddr >> PAGE_SHIFT) | self._asid_tag):
-            self.counters.tlb_hits += 1
-        else:
-            slot = self._fill_tlb(vaddr, access, kernel)
-        if not slot[1].allows(access, kernel):
-            raise Fault(FaultType.PERMISSION, vaddr, access)
         return slot
 
     def _device_read(self, paddr, size, vaddr):
         hit = self._memory.find_device(paddr)
         if hit is None:
-            raise Fault(FaultType.BUS, vaddr, AccessType.READ)
+            raise Fault(_BUS, vaddr, _READ)
         base, _size, device = hit
         self.counters.mmio_reads += 1
         return device.read(paddr - base, size) & ((1 << (8 * size)) - 1)
@@ -169,19 +190,25 @@ class DBTSimulator(Simulator):
     def _device_write(self, paddr, value, size, vaddr):
         hit = self._memory.find_device(paddr)
         if hit is None:
-            raise Fault(FaultType.BUS, vaddr, AccessType.WRITE)
+            raise Fault(_BUS, vaddr, _WRITE)
         base, _size, device = hit
         self.counters.mmio_writes += 1
         device.write(paddr - base, value & ((1 << (8 * size)) - 1), size)
 
     def _read(self, vaddr, size, kernel):
         if self._cp15.sctlr & 1:
-            slot = self._data_slot(vaddr, AccessType.READ, kernel)
+            slot = self._tlb[(vaddr >> PAGE_SHIFT) & self._tlb_mask]
+            if slot is not None and slot[0] == ((vaddr >> PAGE_SHIFT) | self._asid_tag):
+                self.counters.tlb_hits += 1
+            else:
+                slot = self._fill_tlb(vaddr, _READ, kernel)
+            if not slot[1] >> kernel & 1:
+                raise Fault(_PERMISSION, vaddr, _READ)
             data = slot[2]
             if data is not None:
                 off = slot[3] + (vaddr & 0xFFF)
                 return int.from_bytes(data[off : off + size], "little")
-            return self._device_read(slot[1].ppage | (vaddr & 0xFFF), size, vaddr)
+            return self._device_read((slot[4] << PAGE_SHIFT) | (vaddr & 0xFFF), size, vaddr)
         # MMU off: physical access.
         region = self._memory.find_ram(vaddr, size)
         if region is not None:
@@ -191,20 +218,26 @@ class DBTSimulator(Simulator):
 
     def _write(self, vaddr, value, size, kernel):
         if self._cp15.sctlr & 1:
-            slot = self._data_slot(vaddr, AccessType.WRITE, kernel)
+            slot = self._tlb[(vaddr >> PAGE_SHIFT) & self._tlb_mask]
+            if slot is not None and slot[0] == ((vaddr >> PAGE_SHIFT) | self._asid_tag):
+                self.counters.tlb_hits += 1
+            else:
+                slot = self._fill_tlb(vaddr, _WRITE, kernel)
+            if not slot[1] >> (2 + kernel) & 1:
+                raise Fault(_PERMISSION, vaddr, _WRITE)
             data = slot[2]
             if data is not None:
                 off = slot[3] + (vaddr & 0xFFF)
                 data[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
                     size, "little"
                 )
-                ppage = (slot[1].ppage | (vaddr & 0xFFF)) >> PAGE_SHIFT
-                if ppage in self._exec_pages:
+                ppn = slot[4]
+                if ppn in self._exec_pages:
                     self.counters.code_writes += 1
-                if ppage in self._code_pages:
-                    self._invalidate_code_page(ppage)
+                if ppn in self._code_pages:
+                    self._invalidate_code_page(ppn)
                 return
-            self._device_write(slot[1].ppage | (vaddr & 0xFFF), value, size, vaddr)
+            self._device_write((slot[4] << PAGE_SHIFT) | (vaddr & 0xFFF), value, size, vaddr)
             return
         region = self._memory.find_ram(vaddr, size)
         if region is not None:
@@ -228,6 +261,20 @@ class DBTSimulator(Simulator):
     # -- helpers called from generated code -------------------------------
     def mem_read32(self, vaddr):
         self.counters.loads += 1
+        # Inline softmmu hit on a RAM page (the common case); everything
+        # else -- MMU off, a miss, a device page -- takes ``_read``.
+        if self._cp15.sctlr & 1:
+            slot = self._tlb[(vaddr >> PAGE_SHIFT) & self._tlb_mask]
+            if (
+                slot is not None
+                and slot[0] == ((vaddr >> PAGE_SHIFT) | self._asid_tag)
+                and slot[2] is not None
+            ):
+                self.counters.tlb_hits += 1
+                if not slot[1] >> (self.cpu.psr & PSR_MODE_KERNEL) & 1:
+                    raise Fault(_PERMISSION, vaddr, _READ)
+                off = slot[3] + (vaddr & 0xFFF)
+                return int.from_bytes(slot[2][off : off + 4], "little")
         return self._read(vaddr, 4, self.cpu.psr & PSR_MODE_KERNEL)
 
     def mem_read8(self, vaddr):
@@ -236,6 +283,25 @@ class DBTSimulator(Simulator):
 
     def mem_write32(self, vaddr, value):
         self.counters.stores += 1
+        # Inline softmmu hit on a RAM page, as in ``mem_read32``.
+        if self._cp15.sctlr & 1:
+            slot = self._tlb[(vaddr >> PAGE_SHIFT) & self._tlb_mask]
+            if (
+                slot is not None
+                and slot[0] == ((vaddr >> PAGE_SHIFT) | self._asid_tag)
+                and slot[2] is not None
+            ):
+                self.counters.tlb_hits += 1
+                if not slot[1] >> (2 + (self.cpu.psr & PSR_MODE_KERNEL)) & 1:
+                    raise Fault(_PERMISSION, vaddr, _WRITE)
+                off = slot[3] + (vaddr & 0xFFF)
+                slot[2][off : off + 4] = (value & MASK32).to_bytes(4, "little")
+                ppn = slot[4]
+                if ppn in self._exec_pages:
+                    self.counters.code_writes += 1
+                if ppn in self._code_pages:
+                    self._invalidate_code_page(ppn)
+                return
         self._write(vaddr, value, 4, self.cpu.psr & PSR_MODE_KERNEL)
 
     def mem_write8(self, vaddr, value):
@@ -255,8 +321,6 @@ class DBTSimulator(Simulator):
     def cop_read(self, cpnum, creg):
         if not self.cpu.psr & PSR_MODE_KERNEL:
             raise GuestUndef()
-        from repro.machine.coprocessor import UndefinedCoprocessorAccess
-
         try:
             value = self._cops.read(cpnum, creg)
         except UndefinedCoprocessorAccess:
@@ -267,8 +331,6 @@ class DBTSimulator(Simulator):
     def cop_write(self, cpnum, creg, value):
         if not self.cpu.psr & PSR_MODE_KERNEL:
             raise GuestUndef()
-        from repro.machine.coprocessor import UndefinedCoprocessorAccess
-
         try:
             self._cops.write(cpnum, creg, value)
         except UndefinedCoprocessorAccess:
@@ -276,10 +338,10 @@ class DBTSimulator(Simulator):
         self.counters.coproc_writes += 1
 
     def do_swi(self, return_pc):
-        self.cpu.enter_exception(return_pc, self._cp15.vbar, ExceptionVector.SWI)
+        self.cpu.enter_exception(return_pc, self._cp15.vbar, _V_SWI)
 
     def do_undef(self, return_pc):
-        self.cpu.enter_exception(return_pc, self._cp15.vbar, ExceptionVector.UNDEF)
+        self.cpu.enter_exception(return_pc, self._cp15.vbar, _V_UNDEF)
 
     def do_sret(self):
         if not self.cpu.psr & PSR_MODE_KERNEL:
@@ -305,27 +367,55 @@ class DBTSimulator(Simulator):
             if METRICS.enabled:
                 with METRICS.phase("dbt.tlb_walk"):
                     result = self._walker.walk(
-                        self._cp15.ttbr,
-                        vaddr,
-                        AccessType.EXECUTE,
-                        self.cpu.psr & PSR_MODE_KERNEL,
+                        self._cp15.ttbr, vaddr, _EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
                     )
             else:
                 result = self._walker.walk(
-                    self._cp15.ttbr, vaddr, AccessType.EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
+                    self._cp15.ttbr, vaddr, _EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
                 )
-            entry = result.narrow(vaddr)
+            ppage = result.narrow(vaddr).ppage
+            entry = (
+                ppage,
+                result.perms,
+                self._memory.find_ram(ppage, _FETCH_SPAN) is not None,
+            )
             ftlb = self._ftlb
             if len(ftlb) >= FTLB_CAPACITY:
                 del ftlb[next(iter(ftlb))]
             ftlb[vpage] = entry
-        elif not entry.allows(AccessType.EXECUTE, self.cpu.psr & PSR_MODE_KERNEL):
-            raise Fault(FaultType.PERMISSION, vaddr, AccessType.EXECUTE)
-        return entry.ppage | (vaddr & 0xFFF)
+        elif not entry[1] >> (4 + (self.cpu.psr & PSR_MODE_KERNEL)) & 1:
+            raise Fault(_PERMISSION, vaddr, _EXECUTE)
+        return entry[0] | (vaddr & 0xFFF)
 
     def _lookup(self, vaddr):
         """Find or translate the block at ``vaddr``; deliver a prefetch
-        abort and return None if the fetch translation faults."""
+        abort and return None if the fetch translation faults.
+
+        Fast path (QEMU's ``tb_jmp_cache`` idea): with the MMU on, a
+        cached fetch translation that allows execution in the current
+        mode on a page wholly inside RAM needs neither the bus check
+        nor the translation cache's method call -- one dict probe finds
+        the block.  Accounting is the full path's.
+        """
+        if self._cp15.sctlr & 1:
+            entry = self._ftlb.get(vaddr >> PAGE_SHIFT)
+            if (
+                entry is not None
+                and entry[2]
+                and entry[1] >> (4 + (self.cpu.psr & PSR_MODE_KERNEL)) & 1
+            ):
+                block = self._tblocks.get((vaddr, entry[0] | (vaddr & 0xFFF)))
+                if block is not None:
+                    pend, self.pending_chain = self.pending_chain, None
+                    self.counters.slow_dispatches += 1
+                    if pend is not None:
+                        if METRICS.enabled:
+                            METRICS.inc("dbt.chain_patches")
+                        pend[0].set_succ(pend[1], block)
+                    return block
+        return self._lookup_full(vaddr)
+
+    def _lookup_full(self, vaddr):
         pend, self.pending_chain = self.pending_chain, None
         counters = self.counters
         counters.slow_dispatches += 1
@@ -334,14 +424,14 @@ class DBTSimulator(Simulator):
         except Fault as fault:
             counters.prefetch_aborts += 1
             self._cp15.record_fault(fault)
-            self.cpu.enter_exception(vaddr, self._cp15.vbar, ExceptionVector.PREFETCH_ABORT)
+            self.cpu.enter_exception(vaddr, self._cp15.vbar, _V_PREFETCH_ABORT)
             return None
         try:
             self._memory.find_ram(paddr, 4) or self._raise_bus(vaddr)
         except Fault as fault:
             counters.prefetch_aborts += 1
             self._cp15.record_fault(fault)
-            self.cpu.enter_exception(vaddr, self._cp15.vbar, ExceptionVector.PREFETCH_ABORT)
+            self.cpu.enter_exception(vaddr, self._cp15.vbar, _V_PREFETCH_ABORT)
             return None
         block = self._tcache.get(vaddr, paddr)
         if block is None:
@@ -371,7 +461,7 @@ class DBTSimulator(Simulator):
 
     @staticmethod
     def _raise_bus(vaddr):
-        raise Fault(FaultType.BUS, vaddr, AccessType.EXECUTE)
+        raise Fault(_BUS, vaddr, _EXECUTE)
 
     # ------------------------------------------------------------------
     # The dispatcher
@@ -393,7 +483,7 @@ class DBTSimulator(Simulator):
                     cpu.waiting = False
                     if cpu.psr & PSR_IRQ_ENABLE:
                         counters.irqs += 1
-                        cpu.enter_exception(cpu.pc, self._cp15.vbar, ExceptionVector.IRQ)
+                        cpu.enter_exception(cpu.pc, self._cp15.vbar, _V_IRQ)
                         block = None  # re-dispatch from the handler
             elif cpu.waiting:
                 return RunResult(ExitReason.DEADLOCK, None, counters.instructions - start)
@@ -412,7 +502,7 @@ class DBTSimulator(Simulator):
                 counters.data_aborts += 1
                 self._cp15.record_fault(fault)
                 cpu.enter_exception(
-                    self.fault_state[0], self._cp15.vbar, ExceptionVector.DATA_ABORT
+                    self.fault_state[0], self._cp15.vbar, _V_DATA_ABORT
                 )
                 block = None
                 continue
@@ -421,7 +511,7 @@ class DBTSimulator(Simulator):
                     METRICS.inc("dbt.side_exits")
                 counters.undefs += 1
                 cpu.enter_exception(
-                    self.fault_state[0] + 4, self._cp15.vbar, ExceptionVector.UNDEF
+                    self.fault_state[0] + 4, self._cp15.vbar, _V_UNDEF
                 )
                 block = None
                 continue

@@ -31,6 +31,9 @@ from repro.sim.funccore import FunctionalCore
 
 _INTC_TRIGGER_OFFSET = 0x08
 
+#: Ops whose execution serializes the modelled pipeline.
+_SERIALIZING_OPS = frozenset({Op.SWI, Op.SRET, Op.UND, Op.MRC, Op.MCR, Op.CPS, Op.WFI})
+
 
 class MicroOp:
     """One micro-operation of a cracked instruction."""
@@ -118,7 +121,7 @@ class DetailedInterpreter(FunctionalCore):
         elif insn.is_branch:
             uops.append(MicroOp("bpred", insn))
         uops.append(MicroOp("execute", insn))
-        if op in (Op.SWI, Op.SRET, Op.UND, Op.MRC, Op.MCR, Op.CPS, Op.WFI):
+        if op in _SERIALIZING_OPS:
             uops.append(MicroOp("serialize", insn))
         uops.append(MicroOp("commit", insn))
         return uops

@@ -34,6 +34,19 @@ _BLOCK_TERMINALS = frozenset(BLOCK_END_OPS) | {Op.MCR}
 #: after them.
 _REGISTER_ONLY_OPS = frozenset(op for op in Op if op < Op.LDR)
 
+# Enum members bound once: an ``AccessType.READ``-style attribute lookup
+# costs ~160 ns on CPython 3.11, too much for a per-instruction path.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_EXECUTE = AccessType.EXECUTE
+_PERMISSION = FaultType.PERMISSION
+_BUS = FaultType.BUS
+_V_UNDEF = ExceptionVector.UNDEF
+_V_SWI = ExceptionVector.SWI
+_V_PREFETCH_ABORT = ExceptionVector.PREFETCH_ABORT
+_V_DATA_ABORT = ExceptionVector.DATA_ABORT
+_V_IRQ = ExceptionVector.IRQ
+
 
 class GuestUndef(Exception):
     """Internal signal: the current instruction raises UNDEF."""
@@ -116,10 +129,10 @@ class FunctionalCore(Simulator):
         #: or translation-regime changes miss naturally.
         self._fetch_state = None
         #: Last-page *data* fast path, mirroring the fetch one:
-        #: ``(vpage, sctlr_bit, entry_or_None, data, page_off, ppage)``.
-        #: ``entry`` is the live data-TLB entry when the MMU was on at
-        #: arm time (permissions are re-checked per access) and ``None``
-        #: for a physical (MMU-off) page.  Armed only for RAM pages
+        #: ``(vpage, sctlr_bit, perms_or_None, data, page_off, ppage)``.
+        #: ``perms`` is the live data-TLB entry's permission bitmask when
+        #: the MMU was on at arm time (re-checked per access) and
+        #: ``None`` for a physical (MMU-off) page.  Armed only for RAM pages
         #: fully inside their region, and -- with the MMU on -- only for
         #: TLBs whose ``lookup`` is side-effect-free beyond its own
         #: tallies (the SoftTLB family; the set-associative model
@@ -179,8 +192,8 @@ class FunctionalCore(Simulator):
         entry = dtlb.lookup(vaddr)
         if entry is not None:
             counters.tlb_hits += 1
-            if not entry.allows(access, kernel):
-                raise Fault(FaultType.PERMISSION, vaddr, access)
+            if not entry.perms >> (2 * access + kernel) & 1:
+                raise Fault(_PERMISSION, vaddr, access)
             return entry.ppage | (vaddr & 0xFFF)
         counters.tlb_misses += 1
         # Host-side observability only (miss path, never per-insn):
@@ -207,20 +220,17 @@ class FunctionalCore(Simulator):
             return vaddr
         entry = self._itlb.lookup(vaddr)
         if entry is not None:
-            if not entry.allows(AccessType.EXECUTE, self.cpu.psr & PSR_MODE_KERNEL):
-                raise Fault(FaultType.PERMISSION, vaddr, AccessType.EXECUTE)
+            if not entry.perms >> (4 + (self.cpu.psr & PSR_MODE_KERNEL)) & 1:
+                raise Fault(_PERMISSION, vaddr, _EXECUTE)
             return entry.ppage | (vaddr & 0xFFF)
         if METRICS.enabled:
             with METRICS.phase("funccore.tlb_walk"):
                 result = self._walker.walk(
-                    cp15.ttbr,
-                    vaddr,
-                    AccessType.EXECUTE,
-                    self.cpu.psr & PSR_MODE_KERNEL,
+                    cp15.ttbr, vaddr, _EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
                 )
         else:
             result = self._walker.walk(
-                cp15.ttbr, vaddr, AccessType.EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
+                cp15.ttbr, vaddr, _EXECUTE, self.cpu.psr & PSR_MODE_KERNEL
             )
         entry = result.narrow(vaddr)
         self._itlb.insert(vaddr, entry)
@@ -243,20 +253,21 @@ class FunctionalCore(Simulator):
         permission check, physical address).
         """
         sctlr_bit = self._cp15.sctlr & 1
-        entry = None
+        perms = None
         if sctlr_bit:
             if not self._data_fast_ok:
                 return
             entry = self._dtlb.peek(vaddr)
             if entry is None:
                 return
+            perms = entry.perms
         page_base = paddr & ~0xFFF
         if not region.contains(page_base, (1 << PAGE_SHIFT) + 4):
             return
         self._data_state = (
             vaddr >> PAGE_SHIFT,
             sctlr_bit,
-            entry,
+            perms,
             region.data,
             page_base - region.base,
             paddr >> PAGE_SHIFT,
@@ -269,15 +280,15 @@ class FunctionalCore(Simulator):
             and state[0] == vaddr >> PAGE_SHIFT
             and state[1] == (self._cp15.sctlr & 1)
         ):
-            entry = state[2]
-            if entry is not None:
+            perms = state[2]
+            if perms is not None:
                 self.counters.tlb_hits += 1
                 self._dtlb.hits += 1
-                if not entry.allows(AccessType.READ, kernel):
-                    raise Fault(FaultType.PERMISSION, vaddr, AccessType.READ)
+                if not perms >> kernel & 1:
+                    raise Fault(_PERMISSION, vaddr, _READ)
             off = state[4] + (vaddr & 0xFFF)
             return int.from_bytes(state[3][off : off + size], "little")
-        paddr = self._translate_data(vaddr, AccessType.READ, kernel)
+        paddr = self._translate_data(vaddr, _READ, kernel)
         memory = self._memory
         region = memory.find_ram(paddr, size)
         if region is not None:
@@ -286,7 +297,7 @@ class FunctionalCore(Simulator):
             return int.from_bytes(region.data[off : off + size], "little")
         hit = memory.find_device(paddr)
         if hit is None:
-            raise Fault(FaultType.BUS, vaddr, AccessType.READ)
+            raise Fault(_BUS, vaddr, _READ)
         base, _size, device = hit
         if not self._device_access_allowed(device, paddr - base, False):
             raise UnsupportedFeatureError(self.name, device.name)
@@ -300,12 +311,12 @@ class FunctionalCore(Simulator):
             and state[0] == vaddr >> PAGE_SHIFT
             and state[1] == (self._cp15.sctlr & 1)
         ):
-            entry = state[2]
-            if entry is not None:
+            perms = state[2]
+            if perms is not None:
                 self.counters.tlb_hits += 1
                 self._dtlb.hits += 1
-                if not entry.allows(AccessType.WRITE, kernel):
-                    raise Fault(FaultType.PERMISSION, vaddr, AccessType.WRITE)
+                if not perms >> (2 + kernel) & 1:
+                    raise Fault(_PERMISSION, vaddr, _WRITE)
             off = state[4] + (vaddr & 0xFFF)
             state[3][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
                 size, "little"
@@ -316,7 +327,7 @@ class FunctionalCore(Simulator):
             if ppage in self._code_pages:
                 self._invalidate_code_page(ppage)
             return
-        paddr = self._translate_data(vaddr, AccessType.WRITE, kernel)
+        paddr = self._translate_data(vaddr, _WRITE, kernel)
         memory = self._memory
         region = memory.find_ram(paddr, size)
         if region is not None:
@@ -333,7 +344,7 @@ class FunctionalCore(Simulator):
             return
         hit = memory.find_device(paddr)
         if hit is None:
-            raise Fault(FaultType.BUS, vaddr, AccessType.WRITE)
+            raise Fault(_BUS, vaddr, _WRITE)
         base, _size, device = hit
         if not self._device_access_allowed(device, paddr - base, True):
             raise UnsupportedFeatureError(self.name, device.name)
@@ -366,7 +377,7 @@ class FunctionalCore(Simulator):
         memory = self._memory
         region = memory.find_ram(paddr, 4)
         if region is None:
-            raise Fault(FaultType.BUS, pc, AccessType.EXECUTE)
+            raise Fault(_BUS, pc, _EXECUTE)
         off = paddr - region.base
         word = int.from_bytes(region.data[off : off + 4], "little")
         page_base = paddr & ~0xFFF
@@ -726,7 +737,7 @@ class FunctionalCore(Simulator):
     # System -----------------------------------------------------------------
     def _op_swi(self, insn, pc):
         self.counters.syscalls += 1
-        self._deliver(ExceptionVector.SWI, pc + 4)
+        self._deliver(_V_SWI, pc + 4)
 
     def _op_sret(self, insn, pc):
         self._require_kernel()
@@ -805,7 +816,7 @@ class FunctionalCore(Simulator):
                     cpu.waiting = False
                     if cpu.psr & PSR_IRQ_ENABLE:
                         counters.irqs += 1
-                        self._deliver(ExceptionVector.IRQ, cpu.pc)
+                        self._deliver(_V_IRQ, cpu.pc)
             elif cpu.waiting:
                 return RunResult(ExitReason.DEADLOCK, None, counters.instructions - start)
             pc = cpu.pc
@@ -814,13 +825,13 @@ class FunctionalCore(Simulator):
             except Fault as fault:
                 counters.prefetch_aborts += 1
                 self._cp15.record_fault(fault)
-                self._deliver(ExceptionVector.PREFETCH_ABORT, pc)
+                self._deliver(_V_PREFETCH_ABORT, pc)
                 continue
             except DecodeError:
                 # Architecturally-undefined encoding.
                 counters.instructions += 1
                 counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
+                self._deliver(_V_UNDEF, pc + 4)
                 continue
             counters.instructions += 1
             self._pre_execute(insn, pc)
@@ -829,10 +840,10 @@ class FunctionalCore(Simulator):
             except Fault as fault:
                 counters.data_aborts += 1
                 self._cp15.record_fault(fault)
-                self._deliver(ExceptionVector.DATA_ABORT, pc)
+                self._deliver(_V_DATA_ABORT, pc)
             except GuestUndef:
                 counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
+                self._deliver(_V_UNDEF, pc + 4)
         return RunResult(ExitReason.HALT, cpu.halt_code, counters.instructions - start)
 
     # ------------------------------------------------------------------
@@ -857,12 +868,12 @@ class FunctionalCore(Simulator):
         except Fault as fault:
             counters.prefetch_aborts += 1
             self._cp15.record_fault(fault)
-            self._deliver(ExceptionVector.PREFETCH_ABORT, pc)
+            self._deliver(_V_PREFETCH_ABORT, pc)
             return
         except DecodeError:
             counters.instructions += 1
             counters.undefs += 1
-            self._deliver(ExceptionVector.UNDEF, pc + 4)
+            self._deliver(_V_UNDEF, pc + 4)
             return
         counters.instructions += 1
         try:
@@ -870,10 +881,10 @@ class FunctionalCore(Simulator):
         except Fault as fault:
             counters.data_aborts += 1
             self._cp15.record_fault(fault)
-            self._deliver(ExceptionVector.DATA_ABORT, pc)
+            self._deliver(_V_DATA_ABORT, pc)
         except GuestUndef:
             counters.undefs += 1
-            self._deliver(ExceptionVector.UNDEF, pc + 4)
+            self._deliver(_V_UNDEF, pc + 4)
 
     def _record_block(self, pc, paddr, state, limit):
         """Execute-and-record a straight-line run starting at ``pc``.
@@ -902,7 +913,7 @@ class FunctionalCore(Simulator):
             except DecodeError:
                 counters.instructions += 1
                 counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
+                self._deliver(_V_UNDEF, pc + 4)
                 break
             counters.instructions += 1
             handler = dispatch[insn.op]
@@ -911,11 +922,11 @@ class FunctionalCore(Simulator):
             except Fault as fault:
                 counters.data_aborts += 1
                 self._cp15.record_fault(fault)
-                self._deliver(ExceptionVector.DATA_ABORT, pc)
+                self._deliver(_V_DATA_ABORT, pc)
                 break
             except GuestUndef:
                 counters.undefs += 1
-                self._deliver(ExceptionVector.UNDEF, pc + 4)
+                self._deliver(_V_UNDEF, pc + 4)
                 break
             entries.append((handler, insn, insn.op not in _REGISTER_ONLY_OPS))
             if insn.op in _BLOCK_TERMINALS:
@@ -961,7 +972,7 @@ class FunctionalCore(Simulator):
                     cpu.waiting = False
                     if cpu.psr & PSR_IRQ_ENABLE:
                         counters.irqs += 1
-                        self._deliver(ExceptionVector.IRQ, cpu.pc)
+                        self._deliver(_V_IRQ, cpu.pc)
             elif cpu.waiting:
                 return RunResult(ExitReason.DEADLOCK, None, counters.instructions - start)
             pc = cpu.pc
@@ -999,11 +1010,11 @@ class FunctionalCore(Simulator):
                 except Fault as fault:
                     counters.data_aborts += 1
                     cp15.record_fault(fault)
-                    self._deliver(ExceptionVector.DATA_ABORT, pc)
+                    self._deliver(_V_DATA_ABORT, pc)
                     break
                 except GuestUndef:
                     counters.undefs += 1
-                    self._deliver(ExceptionVector.UNDEF, pc + 4)
+                    self._deliver(_V_UNDEF, pc + 4)
                     break
                 if check and (
                     self._block_epoch != epoch

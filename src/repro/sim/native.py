@@ -26,6 +26,10 @@ class NativeMachine(FunctionalCore):
             dtlb=SoftTLB(capacity=tlb_capacity),
             itlb=SoftTLB(capacity=512),
             use_decode_cache=True,
+            # Predecoded block replay: host-only, counters are identical
+            # to the per-instruction loop (tracers/debuggers still force
+            # that loop, see FunctionalCore.run).
+            use_block_cache=True,
         )
         arch_name = arch.name if arch is not None else "arm"
         self.cost_model = native_cost_model(arch_name)

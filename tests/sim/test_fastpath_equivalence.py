@@ -63,6 +63,27 @@ class TestToggleEquivalence:
         )
         assert on == off
 
+    @pytest.mark.parametrize("engine", ["native", "qemu-kvm"])
+    def test_direct_engine_block_replay(
+        self, harness, bench, arch_name, engine, monkeypatch
+    ):
+        # Both direct-execution models replay predecoded blocks by
+        # default (no spec field); flipping ``_use_block_cache`` on the
+        # built instance gives the per-instruction loop.
+        spec = spec_for(engine)
+        replay = _observe(harness, bench, arch_name, spec)
+        build = type(spec).build
+
+        def plain_build(self, board, arch=None):
+            sim = build(self, board, arch)
+            assert sim._use_block_cache
+            sim._use_block_cache = False
+            return sim
+
+        monkeypatch.setattr(type(spec), "build", plain_build)
+        plain = _observe(harness, bench, arch_name, spec)
+        assert replay == plain
+
     def test_dbt_memoization(self, harness, bench, arch_name):
         TRANSLATION_MEMO.clear()
         on = _observe(harness, bench, arch_name, spec_for("qemu-dbt", memoize=True))
