@@ -8,6 +8,7 @@ TOML keys and glob patterns without quoting.  :func:`find_benchmarks`
 resolves names, slugs and ``fnmatch`` globs over both registries.
 """
 
+import functools
 from fnmatch import fnmatchcase
 
 from repro.core.benchmarks import (
@@ -96,6 +97,16 @@ def all_benchmarks():
     return tuple(SUITE) + tuple(SPEC_PROXIES)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_index():
+    """Lowercase name or slug -> the benchmarks it names, registry order."""
+    index = {}
+    for bench in all_benchmarks():
+        for key in dict.fromkeys((bench.name.lower(), slugify(bench.name))):
+            index.setdefault(key, []).append(bench)
+    return index
+
+
 def find_benchmarks(pattern):
     """Benchmarks/workloads whose name or slug matches ``pattern``.
 
@@ -103,14 +114,19 @@ def find_benchmarks(pattern):
     against both the canonical name and the slug, so ``tlb-*``,
     ``TLB *`` and ``tlb-flush`` all resolve.  Returns matches in
     registry order; raises :class:`KeyError` when nothing matches.
+    A pattern without glob metacharacters matches only by equality,
+    so it is looked up directly instead of tried against every name.
     """
     lowered = pattern.lower()
-    found = [
-        bench
-        for bench in all_benchmarks()
-        if fnmatchcase(bench.name.lower(), lowered)
-        or fnmatchcase(slugify(bench.name), lowered)
-    ]
+    if any(char in lowered for char in "*?["):
+        found = [
+            bench
+            for bench in all_benchmarks()
+            if fnmatchcase(bench.name.lower(), lowered)
+            or fnmatchcase(slugify(bench.name), lowered)
+        ]
+    else:
+        found = list(_exact_index().get(lowered, ()))
     if not found:
         raise KeyError(
             "no benchmark or workload matches %r (e.g. %s)"

@@ -8,6 +8,7 @@ plain JSON dicts so they survive the dataset's storage layer and the
 JSONL telemetry export unchanged.
 """
 
+import functools
 import os
 import platform
 import subprocess
@@ -17,11 +18,18 @@ import time
 from repro.core.resultcache import schema_tag
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision():
     """The repository HEAD revision this process is running from, or
     ``None`` outside a git checkout (an installed package, a bare
     tree).  Never raises -- provenance is best-effort context, not a
-    gate."""
+    gate.
+
+    Looked up once per process, on first use (a ``git`` subprocess
+    costs milliseconds, and a daemon stamps every fresh job): the code
+    a process runs does not change under it, so every stamp it writes
+    carries the same revision.  Not looked up at import, so start-up
+    never pays for it."""
     anchor = os.path.dirname(os.path.abspath(__file__))
     try:
         out = subprocess.run(

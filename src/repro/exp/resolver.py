@@ -70,11 +70,17 @@ class DatasetResolver:
         rows on both ``cell_id`` and ``manifest``.
     seed:
         Recorded in the provenance stamp of appended rows.
+    fold_totals:
+        Fold the dataset's session counters into its ``_totals.json``
+        at the end of every :meth:`run` (one fold per CLI or manifest
+        run).  A long-lived owner of the dataset passes ``False`` and
+        folds on its own cadence (:mod:`repro.serve.daemon`).
     """
 
-    def __init__(self, runner, dataset, manifest=None, seed=None):
+    def __init__(self, runner, dataset, manifest=None, seed=None, fold_totals=True):
         self.runner = runner
         self.dataset = dataset
+        self.fold_totals = fold_totals
         if manifest is not None and not isinstance(manifest, str):
             seed = seed if seed is not None else manifest.seed
             manifest = manifest.manifest_id()
@@ -168,11 +174,7 @@ class DatasetResolver:
             # cache/code-store totals; flush the dataset's own session
             # counters too so an interrupted run leaves consistent
             # accounting, then keep unwinding (the CLI exits 130).
-            if self.dataset is not None:
-                try:
-                    self.dataset.fold_totals()
-                except OSError:
-                    pass
+            self._fold()
             raise
 
         # Append newly executed cells to the dataset, provenance-stamped.
@@ -248,14 +250,12 @@ class DatasetResolver:
         self.jobs_log.extend(rows)
         # Fold the dataset's own session counters into its persistent
         # totals, mirroring what the runner does for cache/code store.
-        if self.dataset is not None:
-            try:
-                self.dataset.fold_totals()
-            except OSError:
-                pass
-            self.dataset.hits = self.dataset.misses = 0
-            self.dataset.stores = self.dataset.quarantined = 0
+        self._fold()
         return results
+
+    def _fold(self):
+        if self.dataset is not None and self.fold_totals:
+            self.dataset.fold_session()
 
     def run_suite(self, simulator, arch, platform, benchmarks=None, scale=1.0, dbt_config=None):
         """Dataset-backed equivalent of ``ExperimentRunner.run_suite``."""

@@ -73,6 +73,12 @@ from repro.serve.queue import FairQueue, QueueClosed
 #: the runner re-chunks it for the pool).
 DEFAULT_SLICE_SIZE = 8
 
+#: Seconds between folds of the dataset's session counters into its
+#: ``_totals.json`` while serving.  Rows are durable as soon as they are
+#: appended; only the hit/miss/store counters of the last interval are
+#: at risk if the process dies without draining.
+FOLD_INTERVAL_S = 1.0
+
 #: Job lifecycle states; ``drained``/``failed``/``done`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "drained")
 
@@ -192,7 +198,9 @@ class ExperimentService:
         self._jobs = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
-        self._resolvers = {}  # job id -> per-job DatasetResolver
+        # job id -> per-job DatasetResolver, dropped when the job ends.
+        self._resolvers = {}
+        self._last_fold = time.monotonic()
         #: Completed (job_id, tenant) pairs in scheduling order -- the
         #: observable fairness record (and the smoke test's evidence).
         self.slice_log = []
@@ -252,7 +260,7 @@ class ExperimentService:
             )
             self._jobs[job.id] = job
             self._resolvers[job.id] = DatasetResolver(
-                self.runner, self.dataset, manifest=manifest
+                self.runner, self.dataset, manifest=manifest, fold_totals=False
             )
             slices = [
                 specs[start : start + self.slice_size]
@@ -263,7 +271,7 @@ class ExperimentService:
             for slice_specs in slices:
                 self.queue.push(tenant, (job.id, slice_specs), priority=priority)
         except QueueClosed:
-            job.finish("drained")
+            self._finish(job, "drained")
             raise ServiceError("service is draining; submission refused") from None
         METRICS.inc("serve.submissions")
         METRICS.inc("serve.cells", len(specs))
@@ -287,7 +295,8 @@ class ExperimentService:
             return False
         job_id, slice_specs = entry
         job = self._jobs[job_id]
-        if job.done.is_set():
+        resolver = self._resolvers.get(job_id)
+        if resolver is None or job.done.is_set():
             # The job already reached a terminal state (an earlier
             # slice failed, or a drain finished it); its leftover
             # slices are dropped, never resurrected into "done".
@@ -299,7 +308,6 @@ class ExperimentService:
         METRICS.set_gauge("serve.inflight_slices", 1)
         try:
             with METRICS.phase("serve.slice"):
-                resolver = self._resolvers[job_id]
                 resolver.run(slice_specs)
             rows = [
                 dict(row, job=job_id, tenant=job.tenant)
@@ -307,17 +315,36 @@ class ExperimentService:
             ]
             job.fold_slice(resolver.last_stats, rows)
         except Exception as exc:  # a slice failure fails its job only
-            job.finish("failed", error="%s: %s" % (type(exc).__name__, exc))
+            self._finish(job, "failed", error="%s: %s" % (type(exc).__name__, exc))
             return True
         finally:
+            # Each job keeps its own rows and failures; the shared
+            # runner's cross-run logs would only grow.
+            self.runner.jobs_log.clear()
+            self.runner.failures.clear()
             METRICS.set_gauge("serve.inflight_slices", 0)
             METRICS.inc("serve.slices")
             job.slices_done += 1
             self._update_gauges()
+            if time.monotonic() - self._last_fold >= FOLD_INTERVAL_S:
+                self._fold_dataset()
         if job.slices_done >= job.slices_total:
-            job.finish("done")
+            self._finish(job, "done")
         self.slice_log.append((job_id, job.tenant))
         return True
+
+    def _finish(self, job, state, error=None):
+        """Move ``job`` to a terminal state and release its resolver."""
+        job.finish(state, error=error)
+        self._resolvers.pop(job.id, None)
+
+    def _fold_dataset(self):
+        """Fold the dataset's session counters into its totals.  The
+        service owns this fold (its resolvers skip theirs): at most once
+        per :data:`FOLD_INTERVAL_S` after a slice, and once at drain."""
+        self._last_fold = time.monotonic()
+        if self.dataset is not None:
+            self.dataset.fold_session()
 
     def _scheduler_loop(self):
         while True:
@@ -431,6 +458,9 @@ class ExperimentService:
                 target=self._serve_connection, args=(conn,), daemon=True
             )
             thread.start()
+            self._conn_threads = [
+                live for live in self._conn_threads if live.is_alive()
+            ]
             self._conn_threads.append(thread)
 
     def _serve_connection(self, conn):
@@ -475,7 +505,7 @@ class ExperimentService:
             METRICS.inc("serve.drained_slices")
             job = self._jobs.get(job_id)
             if job is not None and not job.done.is_set():
-                job.finish("drained")
+                self._finish(job, "drained")
 
     def serve_forever(self):
         """Park until a drain completes; returns 0 (the drain exit
@@ -504,16 +534,12 @@ class ExperimentService:
         with self._jobs_lock:
             for job in self._jobs.values():
                 if not job.done.is_set():
-                    job.finish("drained")
+                    self._finish(job, "drained")
         # Persist every store's totals: the runner folds cache/code
-        # store once per run, but the dataset's fold happens inside the
-        # resolvers -- one final locked fold covers whatever session
-        # counters are still unflushed, then the pool goes down.
-        if self.dataset is not None:
-            try:
-                self.dataset.fold_totals()
-            except OSError:
-                pass
+        # store once per run; the dataset's counters since the last
+        # timed fold go in one final locked fold, then the pool goes
+        # down.
+        self._fold_dataset()
         self.runner.close()
 
     def stop(self):

@@ -99,51 +99,114 @@ class _MemoEntry:
         self.n_crossings = n_crossings
 
 
+def _entry_matches(memory, paddr, entry):
+    """True when the live bytes at ``paddr`` still spell the memoized
+    unit (every segment of it, for superblocks).  Compared straight
+    out of the RAM region (no ``read32``, so no chance of device side
+    effects); anything not fully RAM-backed simply misses and takes
+    the full path."""
+    region = memory.find_ram(paddr, 4)
+    if region is None:
+        return False
+    word_bytes = entry.word_bytes
+    if not region.contains(paddr, len(word_bytes)):
+        return False
+    off = paddr - region.base
+    if region.data[off : off + len(word_bytes)] != word_bytes:
+        return False
+    if entry.segments:
+        for delta, seg_bytes in entry.segments:
+            seg_paddr = paddr + delta
+            if not region.contains(seg_paddr, len(seg_bytes)):
+                return False
+            soff = seg_paddr - region.base
+            if region.data[soff : soff + len(seg_bytes)] != seg_bytes:
+                return False
+    return True
+
+
 class TranslationMemo:
     """Process-wide bounded LRU of lowered+compiled blocks.
 
     Keyed by ``(vaddr, DBTConfig.translation_key())``; generated source
     embeds absolute PCs, so the start address is part of the identity.
-    Hits are verified against the live instruction bytes before reuse
+    Every guest program loads at the same addresses, so one key sees
+    many different blocks over a grid: each key keeps up to
+    :attr:`VARIANTS` entries, most recently used first, and a program
+    that comes back finds its blocks still compiled.  :meth:`get`
+    returns only an entry verified against the live instruction bytes
     (every segment of them, for superblocks -- the trace plan is a pure
     function of the bytes, so byte equality implies plan equality; see
     :meth:`Translator.translate`), which makes entries safe across
     self-modifying code and across the many engines of a sweep.
+
+    At most ``capacity`` entries are held in total; past that the
+    least-recently-used key gives up its oldest variant first.
     """
+
+    #: Variants per key.  The 18 SimBench kernels put at most 14
+    #: distinct blocks behind one key, so a daemon or pool worker keeps
+    #: the whole suite compiled; a miss checks every variant, which is
+    #: still microseconds against a ``compile()`` of about 0.5 ms.
+    VARIANTS = 16
 
     def __init__(self, capacity=16384):
         self.capacity = capacity
+        # key -> [entry, ...], most recent first; dict order is LRU
+        # order over keys.
         self._entries = collections.OrderedDict()
+        self._size = 0
         self.hits = 0
         self.misses = 0
 
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
+    def get(self, key, memory, paddr):
+        """The entry for ``key`` whose bytes match live memory at
+        ``paddr``, or None."""
+        variants = self._entries.get(key)
+        if variants is not None:
+            for index, entry in enumerate(variants):
+                if _entry_matches(memory, paddr, entry):
+                    if index:
+                        del variants[index]
+                        variants.insert(0, entry)
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry
+        self.misses += 1
+        return None
 
     def insert(self, key, entry):
+        """Make ``entry`` the most recent variant of ``key``.  Callers
+        insert only after :meth:`get` missed, so no held variant
+        matches the same bytes."""
         entries = self._entries
-        if key in entries:
-            # Refresh both the entry and its LRU position; without the
-            # move a re-inserted key kept its stale position and could
-            # be evicted as if cold.
-            entries[key] = entry
+        variants = entries.get(key)
+        if variants is None:
+            entries[key] = [entry]
+        else:
+            variants.insert(0, entry)
             entries.move_to_end(key)
-            return
-        if len(entries) >= self.capacity:
-            entries.popitem(last=False)
-        entries[key] = entry
+            if len(variants) > self.VARIANTS:
+                variants.pop()
+                self._size -= 1
+        self._size += 1
+        while self._size > self.capacity:
+            oldest_key, oldest = next(iter(entries.items()))
+            oldest.pop()
+            self._size -= 1
+            if not oldest:
+                del entries[oldest_key]
+
+    def entries(self):
+        """Every held entry, least recently used key first."""
+        return [entry for variants in self._entries.values() for entry in variants]
 
     def clear(self):
         self._entries.clear()
+        self._size = 0
 
     def __len__(self):
-        return len(self._entries)
+        return self._size
 
 
 #: Shared across every engine in the process: a 20-version sweep
@@ -193,8 +256,8 @@ class Translator:
         cfg_key = cfg.translation_key()
         memo_key = (vaddr, cfg_key)
         if cfg.memoize:
-            entry = TRANSLATION_MEMO.get(memo_key)
-            if entry is not None and self._entry_matches(memory, paddr, entry):
+            entry = TRANSLATION_MEMO.get(memo_key, memory, paddr)
+            if entry is not None:
                 return self._bind(entry, vaddr, paddr)
         if cfg.opt_level >= 2:
             segments = self._plan_trace(memory, vaddr, paddr)
@@ -254,32 +317,6 @@ class Translator:
         if cfg.memoize:
             TRANSLATION_MEMO.insert(memo_key, entry)
         return self._bind(entry, vaddr, paddr)
-
-    @staticmethod
-    def _entry_matches(memory, paddr, entry):
-        """True when the live bytes at ``paddr`` still spell the memoized
-        unit (every segment of it, for superblocks).  Compared straight
-        out of the RAM region (no ``read32``, so no chance of device
-        side effects); anything not fully RAM-backed simply misses and
-        takes the full path."""
-        region = memory.find_ram(paddr, 4)
-        if region is None:
-            return False
-        word_bytes = entry.word_bytes
-        if not region.contains(paddr, len(word_bytes)):
-            return False
-        off = paddr - region.base
-        if region.data[off : off + len(word_bytes)] != word_bytes:
-            return False
-        if entry.segments:
-            for delta, seg_bytes in entry.segments:
-                seg_paddr = paddr + delta
-                if not region.contains(seg_paddr, len(seg_bytes)):
-                    return False
-                soff = seg_paddr - region.base
-                if region.data[soff : soff + len(seg_bytes)] != seg_bytes:
-                    return False
-        return True
 
     @staticmethod
     def _bind(entry, vaddr, paddr):

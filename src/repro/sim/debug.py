@@ -18,6 +18,7 @@ Example::
 from repro.errors import IncompatibleEngineError
 from repro.isa.disasm import disassemble
 from repro.sim.base import ExitReason
+from repro.sim.trace import restore_hook
 
 #: Stop reasons returned by :meth:`Debugger.cont`/:meth:`Debugger.step`.
 STOP_BREAKPOINT = "breakpoint"
@@ -69,10 +70,13 @@ class Debugger:
     # -- hooks ---------------------------------------------------------------
     def _install(self):
         engine = self.engine
-        self._saved_pre = engine._pre_execute
-        self._saved_write = engine._mem_write
+        saved_pre = engine._pre_execute
+        saved_write = engine._mem_write
+        self._own_hooks = {
+            name: engine.__dict__.get(name) for name in ("_pre_execute", "_mem_write")
+        }
 
-        def pre_execute(insn, pc, _saved=self._saved_pre):
+        def pre_execute(insn, pc, _saved=saved_pre):
             # Watchpoints fire *after* the writing instruction completes
             # (GDB semantics), i.e. at the next instruction boundary.
             if self._pending_watch is not None:
@@ -85,7 +89,7 @@ class Debugger:
             self._skip_once = None
             _saved(insn, pc)
 
-        def mem_write(vaddr, value, size, kernel, _saved=self._saved_write):
+        def mem_write(vaddr, value, size, kernel, _saved=saved_write):
             _saved(vaddr, value, size, kernel)
             if (vaddr & ~0x3) in self.watchpoints:
                 self._pending_watch = (vaddr, value)
@@ -99,8 +103,8 @@ class Debugger:
     def _uninstall(self):
         if not self._armed:
             return
-        self.engine._pre_execute = self._saved_pre
-        self.engine._mem_write = self._saved_write
+        for name, own in self._own_hooks.items():
+            restore_hook(self.engine, name, own)
         self._armed = False
 
     # -- execution -------------------------------------------------------------

@@ -38,6 +38,17 @@ class TraceRecord:
         return "%8d  0x%08x  %s" % (self.index, self.pc, self.text)
 
 
+def restore_hook(engine, name, own):
+    """Undo an instance-attribute hook: put back the engine's own
+    instance attribute ``own``, or delete the hook so the class method
+    shows through again (an instance attribute left behind would make
+    the engine think it is still hooked)."""
+    if own is not None:
+        setattr(engine, name, own)
+    else:
+        engine.__dict__.pop(name, None)
+
+
 class Tracer:
     """Records the instruction stream of a functional-core engine."""
 
@@ -55,12 +66,16 @@ class Tracer:
         self.records = []
         self.truncated = False
         self._saved_pre_execute = None
+        # The engine's own instance attribute, if it had one before
+        # attach (another tool's hook); None when the class method ran.
+        self._own_pre_execute = None
 
     # -- attach/detach -----------------------------------------------------
     def attach(self):
         if self._saved_pre_execute is not None:
             raise RuntimeError("tracer already attached")
         self._saved_pre_execute = self.engine._pre_execute
+        self._own_pre_execute = self.engine.__dict__.get("_pre_execute")
 
         saved = self._saved_pre_execute
         records = self.records
@@ -79,8 +94,8 @@ class Tracer:
     def detach(self):
         if self._saved_pre_execute is None:
             return
-        self.engine._pre_execute = self._saved_pre_execute
-        self._saved_pre_execute = None
+        restore_hook(self.engine, "_pre_execute", self._own_pre_execute)
+        self._saved_pre_execute = self._own_pre_execute = None
 
     def __enter__(self):
         return self.attach()

@@ -283,6 +283,20 @@ class DirectoryStore:
                     os.close(lock_fd)
         return totals
 
+    def fold_session(self):
+        """Fold this instance's session counters into the totals and
+        zero them, so the next fold carries only newer activity.  For a
+        store one owner folds (the dataset under a resolver or the
+        experiment service); totals are best-effort accounting, so a
+        failed fold is dropped rather than raised."""
+        delta = self.session_stats()
+        if any(delta.values()):
+            try:
+                self.fold_totals(delta)
+            except OSError:
+                pass
+        self.hits = self.misses = self.stores = self.quarantined = 0
+
     # ------------------------------------------------------------------
     def _entry_paths(self):
         if not os.path.isdir(self.root):

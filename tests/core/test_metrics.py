@@ -53,6 +53,7 @@ from repro.obs.export import (
 from repro.obs.metrics import METRICS, Metrics, enabled_scope
 from repro.platform import VEXPRESS
 from repro.sim.dbt.codestore import CodeStore
+from repro.sim.dbt.translator import TRANSLATION_MEMO
 from tests.core.test_faults import _grid, _ok_benchmarks
 
 
@@ -424,6 +425,9 @@ class TestWorkerMetricsMerge:
         assert counts(parallel_snap) == counts(serial_snap)
 
     def test_worker_codestore_delta_reaches_totals(self, tmp_path):
+        # Workers fork from this process: with its translation memo warm
+        # from earlier tests they would compile (and store) nothing.
+        TRANSLATION_MEMO.clear()
         code_dir = tmp_path / "code"
         runner = ExperimentRunner(jobs=2, code_cache_dir=code_dir)
         runner.run(

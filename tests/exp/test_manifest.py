@@ -252,3 +252,61 @@ class TestFindBenchmarks:
     def test_slugify(self):
         assert slugify("TLB Eviction") == "tlb-eviction"
         assert slugify("perlbench") == "perlbench"
+
+
+def _glob_every_name(pattern):
+    """The reference lookup: ``pattern`` tried as a glob against every
+    name and slug (what :func:`find_benchmarks` must keep returning)."""
+    from fnmatch import fnmatchcase
+
+    from repro.core.suite import all_benchmarks
+
+    lowered = pattern.lower()
+    found = [
+        bench
+        for bench in all_benchmarks()
+        if fnmatchcase(bench.name.lower(), lowered) or fnmatchcase(slugify(bench.name), lowered)
+    ]
+    if not found:
+        raise KeyError(
+            "no benchmark or workload matches %r (e.g. %s)"
+            % (pattern, ", ".join(slugify(b.name) for b in SUITE[:3]))
+        )
+    return found
+
+
+def _same_lookup(pattern):
+    try:
+        expected = _glob_every_name(pattern)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as raised:
+            find_benchmarks(pattern)
+        assert str(raised.value) == str(exc)
+        return
+    assert find_benchmarks(pattern) == expected
+
+
+class TestFindBenchmarksExactLookup:
+    def _spellings(self):
+        from repro.core.suite import all_benchmarks
+
+        for bench in all_benchmarks():
+            for text in (bench.name, slugify(bench.name)):
+                yield from {text, text.lower(), text.upper(), text.title(), text.swapcase()}
+
+    def test_every_name_and_slug_in_any_case(self):
+        spellings = list(self._spellings())
+        assert len(spellings) > 2 * len(SUITE)
+        for text in spellings:
+            _same_lookup(text)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "*", "tlb-*", "TLB *", "*-access", "*fault*", "?lb-flush", "[it]*",
+            "inter-page-*", "*page*", "s*", "*[!a-z]*", "[", "tlb-flush]", "zzz",
+            "", "tlb flush ", "tlb--flush", "perlbench", "PERL*",
+        ],
+    )
+    def test_globs_and_misses_match_the_reference(self, pattern):
+        _same_lookup(pattern)

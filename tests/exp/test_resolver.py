@@ -217,3 +217,50 @@ class TestResolver:
         assert len(dataset.rows()) == 1
         values = {r.kernel_ns for r in results}
         assert len(values) == 1 and not any(math.isnan(v) for v in values)
+
+
+class TestTotalsFold:
+    def _counting(self, dataset):
+        folds = []
+        real = dataset.fold_totals
+
+        def counting(delta=None):
+            folds.append(dict(delta))
+            return real(delta)
+
+        dataset.fold_totals = counting
+        return folds
+
+    def test_one_fold_per_manifest_run(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        folds = self._counting(dataset)
+        manifest = tiny_manifest(engines=["simit"])
+        with ExperimentRunner() as runner:
+            run_manifest(manifest, runner, dataset=dataset)
+            run_manifest(manifest, runner, dataset=dataset)
+        assert folds == [
+            {"hits": 0, "misses": 3, "stores": 3, "quarantined": 0},
+            {"hits": 3, "misses": 0, "stores": 0, "quarantined": 0},
+        ]
+        assert Dataset(tmp_path / "ds").totals() == {
+            "hits": 3, "misses": 3, "stores": 3, "quarantined": 0
+        }
+
+    def test_resolver_without_fold_leaves_counters_to_its_owner(self, tmp_path):
+        dataset = Dataset(tmp_path / "ds")
+        folds = self._counting(dataset)
+        manifest = tiny_manifest(engines=["simit"])
+        with ExperimentRunner() as runner:
+            for _ in range(2):
+                DatasetResolver(runner, dataset, manifest=manifest, fold_totals=False).run(
+                    manifest.jobs()
+                )
+        assert folds == []
+        assert dataset.session_stats() == {
+            "hits": 3, "misses": 3, "stores": 3, "quarantined": 0
+        }
+        dataset.fold_session()
+        assert dataset.session_stats() == dict.fromkeys(dataset.session_stats(), 0)
+        assert Dataset(tmp_path / "ds").totals() == {
+            "hits": 3, "misses": 3, "stores": 3, "quarantined": 0
+        }

@@ -396,7 +396,7 @@ class TestSuperblocks:
     def test_trace_forms_on_loop_back_edge(self):
         engine, _board, res = _run_level(_LOOP_BODY, 2)
         assert res.halted_ok
-        entries = list(TRANSLATION_MEMO._entries.values())
+        entries = TRANSLATION_MEMO.entries()
         traced = [entry for entry in entries if entry.segments]
         assert len(traced) == 1
         assert traced[0].n_crossings == 1
@@ -417,7 +417,7 @@ class TestSuperblocks:
             config=DBTConfig(opt_level=2, chain_enabled=False),
         )
         assert res.halted_ok
-        assert not any(e.segments for e in TRANSLATION_MEMO._entries.values())
+        assert not any(e.segments for e in TRANSLATION_MEMO.entries())
 
     def test_loop_counters_bit_identical(self):
         base = _run_level(_LOOP_BODY, 0)
